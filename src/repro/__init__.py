@@ -32,31 +32,12 @@ Quickstart::
     result = core.pa_schedule(instance, floorplanner=planner)
     validate.check_schedule(instance, result.schedule).raise_if_invalid()
     print(result.schedule.makespan)
+
+Every name below loads on first access (PEP 562), so ``import repro``
+or ``import repro.cli`` pays only for the subpackages a command uses.
 """
 
-from . import (
-    analysis,
-    baselines,
-    benchgen,
-    core,
-    engine,
-    floorplan,
-    model,
-    sim,
-    validate,
-)
-from .core import PAOptions, PAResult, pa_r_schedule, pa_schedule
-from .engine import ScheduleOutcome, ScheduleRequest, get_backend
-from .model import (
-    Architecture,
-    Implementation,
-    Instance,
-    ResourceVector,
-    Schedule,
-    Task,
-    TaskGraph,
-    zedboard,
-)
+import importlib
 
 __version__ = "1.0.0"
 
@@ -87,3 +68,27 @@ __all__ = [
     "zedboard",
     "__version__",
 ]
+
+# Re-exported names by the subpackage that defines them; every other
+# name in ``__all__`` is a subpackage.
+_EXPORTED_FROM = {
+    "core": ("PAOptions", "PAResult", "pa_r_schedule", "pa_schedule"),
+    "engine": ("ScheduleOutcome", "ScheduleRequest", "get_backend"),
+    "model": ("Architecture", "Implementation", "Instance", "ResourceVector",
+              "Schedule", "Task", "TaskGraph", "zedboard"),
+}
+_OWNER = {name: package for package, names in _EXPORTED_FROM.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _OWNER:
+        value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+        globals()[name] = value
+        return value
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

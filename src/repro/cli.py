@@ -28,9 +28,6 @@ import sys
 from pathlib import Path
 
 from . import perf
-from .analysis import render_gantt
-from .analysis.runner import ExperimentConfig, run_convergence, run_quality
-from .benchgen import paper_instance
 from .core import PAOptions, SchedulerTrace, do_schedule
 from .engine import (
     DEFAULT_EXHAUSTIVE_TASK_LIMIT,
@@ -72,6 +69,8 @@ def _search_stats_line(stats: dict) -> str:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .benchgen import paper_instance
+
     instance = paper_instance(
         tasks=args.tasks, seed=args.seed, graph_kind=args.graph
     )
@@ -89,15 +88,17 @@ def _load_instance(path: str) -> Instance:
 
 def _schedule_request(args: argparse.Namespace, instance: Instance) -> ScheduleRequest:
     """Translate ``repro schedule`` flags into an engine request."""
-    from .analysis.parallel import resolve_jobs
-
     options: dict = {}
     budget = None
     seed = None
     if args.algorithm in ("pa", "pa-r"):
         options["floorplan"] = not args.no_floorplan
+    if args.algorithm == "pa-r" or args.algorithm.startswith("is-"):
+        from .analysis.parallel import resolve_jobs
+
+        jobs = resolve_jobs(args.jobs)
     if args.algorithm == "pa-r":
-        options["jobs"] = resolve_jobs(args.jobs)
+        options["jobs"] = jobs
         if args.iterations is not None:
             options["iterations"] = args.iterations
         else:
@@ -106,7 +107,6 @@ def _schedule_request(args: argparse.Namespace, instance: Instance) -> ScheduleR
     if args.algorithm.startswith("is-"):
         # jobs never changes the schedule (deterministic fan-out
         # reduction), so only a real fan-out enters the cache key.
-        jobs = resolve_jobs(args.jobs)
         if jobs > 1:
             options["jobs"] = jobs
     if args.algorithm == "exhaustive":
@@ -528,6 +528,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_gantt(args: argparse.Namespace) -> int:
+    from .analysis import render_gantt
+
     schedule = Schedule.from_dict(json.loads(Path(args.schedule).read_text()))
     print(render_gantt(schedule, width=args.width))
     return 0
@@ -745,6 +747,7 @@ def _cmd_online(args: argparse.Namespace) -> int:
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from .analysis.parallel import resolve_jobs
+    from .analysis.runner import ExperimentConfig, run_convergence, run_quality
 
     config = ExperimentConfig(
         profile=args.profile,

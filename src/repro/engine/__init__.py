@@ -11,7 +11,9 @@ content-addressed result store for cross-run reuse::
     )
 
 Importing this package registers the five built-in backends: ``pa``,
-``pa-r``, ``is-<k>``, ``list``, ``exhaustive``.
+``pa-r``, ``is-<k>``, ``list``, ``exhaustive``.  The HTTP service
+(:mod:`repro.engine.service`, which needs asyncio) loads on first use
+of one of its names.
 """
 
 from .backend import (
@@ -35,15 +37,17 @@ from .backends import (  # noqa: F401  (import registers the backends)
 )
 from .batch import BatchRecord, BatchReport, load_manifest, run_batch
 from .fleet_backend import FleetBackend  # noqa: F401  (import registers fleet-*)
-from .service import (
-    SchedulerService,
-    ServiceClient,
-    ServiceConfig,
-    ServiceError,
-    ServiceThread,
-    run_batch_remote,
-)
 from .store import DEFAULT_STORE_ROOT, STALE_TMP_AGE, ResultStore
+
+# Defined in repro.engine.service and loaded lazily by __getattr__.
+_SERVICE_NAMES = (
+    "SchedulerService",
+    "ServiceClient",
+    "ServiceConfig",
+    "ServiceError",
+    "ServiceThread",
+    "run_batch_remote",
+)
 
 __all__ = [
     "EngineError",
@@ -68,10 +72,13 @@ __all__ = [
     "ResultStore",
     "DEFAULT_STORE_ROOT",
     "STALE_TMP_AGE",
-    "SchedulerService",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceError",
-    "ServiceThread",
-    "run_batch_remote",
+    *_SERVICE_NAMES,
 ]
+
+
+def __getattr__(name: str):
+    if name in _SERVICE_NAMES:
+        from . import service
+
+        return getattr(service, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -277,7 +277,11 @@ class SchedulerService:
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length") or 0)
+            declared = headers.get("content-length") or "0"
+            if not (declared.isascii() and declared.isdigit()):
+                await self._respond(writer, 400, {"error": "invalid Content-Length"})
+                return
+            length = int(declared)
             body = await reader.readexactly(length) if length else b""
             status, payload, extra = await self._route(
                 method.upper(), target.partition("?")[0], body

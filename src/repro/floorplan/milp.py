@@ -8,6 +8,10 @@ cell.  This module builds the same model and hands it to
 
 No objective is set (the scheduler only asks for existence, Section
 V-H), so ``c = 0`` and HiGHS stops at the first integer-feasible point.
+
+scipy is imported inside :func:`solve_milp`: only the ``milp`` and
+``both`` floorplan engines reach it, and loading ``scipy.optimize``
+costs more than a whole PA run on the default backtracking engine.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .device import FabricDevice
 from .placements import Placement
@@ -40,6 +42,9 @@ def solve_milp(
     time_limit: float | None = 5.0,
 ) -> MilpResult:
     """Solve the placement-selection MILP; placements in input order."""
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     start = _time.perf_counter()
     n_regions = len(candidates_per_region)
     if n_regions == 0:

@@ -10,9 +10,8 @@ can honour when the ``communication_overhead`` option is enabled.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Iterator, Mapping
-
-import networkx as nx
 
 from .task import Task
 
@@ -26,21 +25,26 @@ class TaskGraphError(ValueError):
 class TaskGraph:
     """A DAG of tasks with optional communication costs on edges.
 
-    The class wraps :class:`networkx.DiGraph` rather than subclassing it
-    so the public surface stays small and every mutation keeps the
-    acyclicity invariant.
+    Tasks live in an insertion-ordered dict; ``_succ``/``_pred`` map
+    each task id to ``{neighbour id: comm}``, also in insertion order.
+    Every mutation keeps the graph acyclic, so acyclicity is an
+    invariant of the class rather than something callers check.
     """
 
     def __init__(self, name: str = "app") -> None:
         self.name = name
-        self._graph = nx.DiGraph()
+        self._tasks: dict[str, Task] = {}
+        self._succ: dict[str, dict[str, float]] = {}
+        self._pred: dict[str, dict[str, float]] = {}
 
     # -- construction ------------------------------------------------------
 
     def add_task(self, task: Task) -> Task:
-        if task.id in self._graph:
+        if task.id in self._tasks:
             raise TaskGraphError(f"duplicate task id {task.id!r}")
-        self._graph.add_node(task.id, task=task)
+        self._tasks[task.id] = task
+        self._succ[task.id] = {}
+        self._pred[task.id] = {}
         return task
 
     def add_dependency(self, src: str | Task, dst: str | Task, comm: float = 0.0) -> None:
@@ -48,107 +52,151 @@ class TaskGraph:
 
         ``comm`` is the optional communication cost charged between the
         end of ``src`` and the start of ``dst`` when the communication
-        extension is enabled.
+        extension is enabled.  Re-adding an existing edge overwrites its
+        ``comm``.
         """
         src_id = src.id if isinstance(src, Task) else src
         dst_id = dst.id if isinstance(dst, Task) else dst
         for tid in (src_id, dst_id):
-            if tid not in self._graph:
+            if tid not in self._tasks:
                 raise TaskGraphError(f"unknown task id {tid!r}")
         if src_id == dst_id:
             raise TaskGraphError(f"self-dependency on {src_id!r}")
         if comm < 0:
             raise TaskGraphError("communication cost must be >= 0")
-        self._graph.add_edge(src_id, dst_id, comm=float(comm))
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(src_id, dst_id)
+        if src_id in self._reachable(dst_id, self._succ):
             raise TaskGraphError(
                 f"dependency {src_id!r} -> {dst_id!r} would create a cycle"
             )
+        self._succ[src_id][dst_id] = self._pred[dst_id][src_id] = float(comm)
 
     # -- queries -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._tasks)
 
     def __contains__(self, task_id: str) -> bool:
-        return task_id in self._graph
+        return task_id in self._tasks
 
     def __iter__(self) -> Iterator[Task]:
-        return (self._graph.nodes[n]["task"] for n in self._graph.nodes)
+        return iter(self._tasks.values())
 
     @property
     def task_ids(self) -> list[str]:
-        return list(self._graph.nodes)
+        return list(self._tasks)
 
     @property
     def tasks(self) -> list[Task]:
-        return list(self)
+        return list(self._tasks.values())
 
     @property
     def edge_count(self) -> int:
-        return self._graph.number_of_edges()
+        return sum(len(succ) for succ in self._succ.values())
 
     def task(self, task_id: str) -> Task:
         try:
-            return self._graph.nodes[task_id]["task"]
+            return self._tasks[task_id]
         except KeyError:
             raise TaskGraphError(f"unknown task id {task_id!r}") from None
 
     def edges(self) -> Iterator[tuple[str, str]]:
-        return iter(self._graph.edges())
+        return ((src, dst) for src, succ in self._succ.items() for dst in succ)
 
     def comm_cost(self, src: str, dst: str) -> float:
-        return float(self._graph.edges[src, dst].get("comm", 0.0))
+        return self._succ[src][dst]
 
     def predecessors(self, task_id: str) -> list[str]:
-        return list(self._graph.predecessors(task_id))
+        return list(self._pred[task_id])
 
     def successors(self, task_id: str) -> list[str]:
-        return list(self._graph.successors(task_id))
+        return list(self._succ[task_id])
 
     def sources(self) -> list[str]:
-        return [n for n in self._graph.nodes if self._graph.in_degree(n) == 0]
+        return [n for n, pred in self._pred.items() if not pred]
 
     def sinks(self) -> list[str]:
-        return [n for n in self._graph.nodes if self._graph.out_degree(n) == 0]
+        return [n for n, succ in self._succ.items() if not succ]
 
     def topological_order(self) -> list[str]:
-        """A deterministic topological order (lexicographic tie-break)."""
-        return list(nx.lexicographical_topological_sort(self._graph))
+        """The lexicographically smallest topological order (Kahn's
+        algorithm with a heap), so ties always break the same way."""
+        indegree = {n: len(pred) for n, pred in self._pred.items()}
+        ready = [n for n, d in indegree.items() if d == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            node = heapq.heappop(ready)
+            order.append(node)
+            for child in self._succ[node]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    heapq.heappush(ready, child)
+        return order
 
     def descendants(self, task_id: str) -> set[str]:
-        return nx.descendants(self._graph, task_id)
+        return self._reachable(task_id, self._succ)
 
     def ancestors(self, task_id: str) -> set[str]:
-        return nx.ancestors(self._graph, task_id)
+        return self._reachable(task_id, self._pred)
 
-    def as_networkx(self) -> nx.DiGraph:
-        """A defensive copy of the underlying graph (for analysis code)."""
-        return self._graph.copy()
+    @staticmethod
+    def _reachable(start: str, adjacency: dict[str, dict[str, float]]) -> set[str]:
+        """Ids reachable from ``start`` along ``adjacency`` (DFS), not
+        counting ``start`` itself."""
+        seen: set[str] = set()
+        stack = list(adjacency[start])
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen.add(node)
+                stack.extend(adjacency[node])
+        return seen
 
     # -- structural metrics (used by benchgen / analysis) ---------------------
 
     def width(self) -> int:
         """Maximum antichain size — available task parallelism.
 
-        Computed exactly via Dilworth's theorem (min chain cover on the
-        transitive closure, solved as bipartite matching).
+        Computed exactly via Dilworth's theorem: the width is the task
+        count minus a maximum matching of the split-node bipartite graph
+        of the transitive closure, found here by augmenting paths over
+        each task's descendant set.
         """
-        if len(self) == 0:
-            return 0
-        closure = nx.transitive_closure_dag(self._graph)
-        matching = nx.bipartite.maximum_matching(
-            _split_bipartite(closure), top_nodes={("u", n) for n in closure.nodes}
-        )
-        matched = sum(1 for k in matching if k[0] == "u")
-        return len(self) - matched
+        reach: dict[str, set[str]] = {}
+        for node in reversed(self.topological_order()):
+            reach[node] = set(self._succ[node])
+            for child in self._succ[node]:
+                reach[node] |= reach[child]
+        owner: dict[str, str] = {}  # matched descendant -> its ancestor
+        for root in reach:
+            stack = [(root, iter(reach[root]))]
+            via: list[str] = []  # the descendant each deeper level came through
+            seen: set[str] = set()
+            while stack:
+                node, candidates = stack[-1]
+                target = next((v for v in candidates if v not in seen), None)
+                if target is None:
+                    stack.pop()
+                    if via:
+                        via.pop()
+                    continue
+                seen.add(target)
+                if target in owner:
+                    via.append(target)
+                    stack.append((owner[target], iter(reach[owner[target]])))
+                    continue
+                owner[target] = node
+                for (ancestor, _), matched in zip(stack, via):
+                    owner[matched] = ancestor
+                break
+        return len(self) - len(owner)
 
     def depth(self) -> int:
         """Number of tasks on the longest chain."""
-        if len(self) == 0:
-            return 0
-        return nx.dag_longest_path_length(self._graph) + 1
+        chain: dict[str, int] = {}
+        for node in self.topological_order():
+            chain[node] = 1 + max((chain[p] for p in self._pred[node]), default=0)
+        return max(chain.values(), default=0)
 
     # -- validation -----------------------------------------------------------
 
@@ -160,8 +208,6 @@ class TaskGraph:
         """
         if len(self) == 0:
             raise TaskGraphError("task graph is empty")
-        if not nx.is_directed_acyclic_graph(self._graph):
-            raise TaskGraphError("task graph has a cycle")
         if require_sw:
             for task in self:
                 if not task.has_sw:
@@ -181,7 +227,7 @@ class TaskGraph:
             "tasks": [t.to_dict() for t in sorted(self, key=lambda t: t.id)],
             "edges": [
                 {"src": u, "dst": v, "comm": self.comm_cost(u, v)}
-                for u, v in sorted(self._graph.edges())
+                for u, v in sorted(self.edges())
             ],
         }
 
@@ -211,11 +257,3 @@ class TaskGraph:
     def __repr__(self) -> str:
         return f"TaskGraph({self.name!r}, tasks={len(self)}, edges={self.edge_count})"
 
-
-def _split_bipartite(closure: nx.DiGraph) -> nx.Graph:
-    """Split-node bipartite graph for the Dilworth matching."""
-    bipartite = nx.Graph()
-    bipartite.add_nodes_from((("u", n) for n in closure.nodes), bipartite=0)
-    bipartite.add_nodes_from((("v", n) for n in closure.nodes), bipartite=1)
-    bipartite.add_edges_from((("u", a), ("v", b)) for a, b in closure.edges)
-    return bipartite

@@ -32,11 +32,15 @@ static schedule checker.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..model import ResourceVector
-from ..online.checkpoint import CheckpointModel
-from ..online.runtime import OnlineResult
-from ..online.workload import ArrivalTrace
 from .checker import TOL, ValidationReport, _overlap
+
+if TYPE_CHECKING:  # repro.online loads the runtime and sim; `repro validate` needs neither
+    from ..online.checkpoint import CheckpointModel
+    from ..online.runtime import OnlineResult
+    from ..online.workload import ArrivalTrace
 
 __all__ = ["check_online_trace"]
 
@@ -49,7 +53,10 @@ def check_online_trace(
     """Run the full online invariant suite; returns an accumulating
     report (``report.raise_if_invalid()`` to assert)."""
     report = ValidationReport()
-    checkpoint = checkpoint or CheckpointModel()
+    if checkpoint is None:
+        from ..online.checkpoint import CheckpointModel
+
+        checkpoint = CheckpointModel()
     regions = {r.region_id: r for r in result.regions}
 
     _check_resource_overlap(report, result)

@@ -77,7 +77,7 @@ class TestCommunicationOverhead:
         instance = paper_instance(15, seed=21)
         graph = instance.taskgraph
         for index, (src, dst) in enumerate(list(graph.edges())):
-            graph._graph.edges[src, dst]["comm"] = float(index % 4) * 5.0
+            graph.add_dependency(src, dst, comm=float(index % 4) * 5.0)
         schedule = do_schedule(instance, PAOptions(communication_overhead=True))
         check_schedule(
             instance, schedule, communication_overhead=True

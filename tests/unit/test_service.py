@@ -8,8 +8,10 @@ and the CI serve-smoke job.
 """
 
 import json
+import socket
 import threading
 import time
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -239,6 +241,25 @@ class TestBadRequests:
                 )
                 assert status == 400, payload
                 assert body["error"]
+
+    @pytest.mark.parametrize("declared", ["abc", "-5", "+5", "1_0"])
+    def test_invalid_content_length_is_400(self, declared):
+        with ServiceThread(_config()) as handle:
+            client = ServiceClient(handle.url)
+            client.wait_ready()
+            url = urlsplit(handle.url)
+            with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
+                sock.sendall(
+                    f"POST /schedule HTTP/1.1\r\nHost: x\r\n"
+                    f"Content-Length: {declared}\r\n\r\n{{}}".encode()
+                )
+                response = b""
+                while chunk := sock.recv(4096):
+                    response += chunk
+            head, _, body = response.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 "), response
+            assert json.loads(body) == {"error": "invalid Content-Length"}
+            assert client.healthy()
 
     def test_unknown_route_is_404(self):
         with ServiceThread(_config()) as handle:

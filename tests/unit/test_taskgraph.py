@@ -122,9 +122,3 @@ class TestSerialization:
         assert set(clone.task_ids) == {"a", "b", "c"}
         assert clone.comm_cost("b", "c") == 3.5
         assert clone.edge_count == 2
-
-    def test_as_networkx_is_a_copy(self):
-        g = TaskGraph.from_edges([t("a"), t("b")], [("a", "b")])
-        nxg = g.as_networkx()
-        nxg.remove_edge("a", "b")
-        assert g.edge_count == 1

@@ -95,10 +95,9 @@ class TestPrecedence:
         assert "precedence" in check_schedule(chain_instance, broken).codes()
 
     def test_communication_extension(self, chain_instance, valid):
-        chain_instance.taskgraph.add_dependency  # (edges exist already)
         # With comm costs enabled, back-to-back execution violates.
-        graph = chain_instance.taskgraph
-        graph._graph.edges["a", "b"]["comm"] = 5.0  # test-only poke
+        # Re-adding the existing edge overwrites its comm cost.
+        chain_instance.taskgraph.add_dependency("a", "b", comm=5.0)
         report = check_schedule(chain_instance, valid, communication_overhead=True)
         assert "precedence" in report.codes()
         # Without the extension the same schedule is fine.
