@@ -10,18 +10,16 @@ claims the swap is free of behaviour change:
   ``maximum.reduceat`` sweeps (`PrecedenceGraph` ``backend=...``),
 * **candidate enumeration** — minimal-window search via per-kind
   prefix sums + ``searchsorted`` and a pairwise containment-prune
-  matrix (`candidate_placements`),
-* **IS-k preview** — the frontier ranking as one lexsorted array pass
-  (`ISKOptions.preview`).
+  matrix (`candidate_placements`).
 
 Two gates:
 
 * the **combined speedup** — total scalar time over total vector time
   across the kernel sections — must be ``>= 5`` (the probe stream,
   the realistic dominant cost of PA-R restarts, carries most of it),
-* an **equivalence sweep**: PA, serial+parallel PA-R and IS-k
-  (k in {1,3,5}) schedules must be bit-identical between backends
-  across every seed (>= 50 seeds in the full profile).
+* an **equivalence sweep**: PA and serial+parallel PA-R schedules
+  must be bit-identical between backends across every seed (>= 50
+  seeds in the full profile).
 
 The report is written to ``BENCH_hot_paths.json`` at the repo root —
 the committed perf trajectory — and printed as JSON.
@@ -49,8 +47,6 @@ except ImportError:  # standalone invocation without PYTHONPATH=src
 
 from _suite import write_trajectory
 
-from repro.baselines import isk as isk_mod
-from repro.baselines.isk import ISKOptions, ISKScheduler
 from repro.benchgen import paper_instance
 from repro.core import PAOptions, do_schedule, pa_r_schedule, pa_r_schedule_parallel
 from repro.core.timing import PrecedenceGraph
@@ -67,19 +63,15 @@ _PROFILES = {
         index_entries=384, probe_queries=300, probe_repeats=2,
         timing_graphs=((40, 8), (60, 10)), timing_repeats=3,
         enum_demands=24, enum_repeats=2,
-        preview_tasks=60, preview_k=5,
         pa_seeds=50, pa_tasks=30,
         par_seeds=4, par_iterations=6,
-        isk_seeds=2, isk_tasks=20,
     ),
     "full": dict(
         index_entries=512, probe_queries=600, probe_repeats=3,
         timing_graphs=((40, 8), (60, 10), (80, 12)), timing_repeats=5,
         enum_demands=48, enum_repeats=3,
-        preview_tasks=100, preview_k=5,
         pa_seeds=50, pa_tasks=30,
         par_seeds=8, par_iterations=10,
-        isk_seeds=4, isk_tasks=25,
     ),
 }
 
@@ -292,81 +284,6 @@ def run_enumeration_section(params) -> dict:
     }
 
 
-def run_preview_section(params) -> dict:
-    """Instrument one IS-k run: every wide-frontier ranking call is
-    timed under both backends (and checked equal), so the section
-    reflects the exact call mix the production gate sees."""
-    instance = paper_instance(params["preview_tasks"], seed=701)
-    totals = {"vector": 0.0, "scalar": 0.0}
-    calls = 0
-    orig = ISKScheduler._ranked_options
-
-    def instrumented(self, state, task_id):
-        nonlocal calls
-        try:
-            ready = state.ready_time(task_id)
-        except ValueError:
-            return []
-        options = self._task_options(state, task_id)
-        if len(options) < isk_mod._VECTOR_PREVIEW_MIN:
-            ranked = [
-                (self._preview_key(state, o, ready), o) for o in options
-            ]
-            ranked.sort(key=lambda item: item[0])
-            return ranked
-        calls += 1
-
-        def time_vector():
-            t0 = time.perf_counter()
-            out = self._ranked_options_vector(state, ready, options)
-            return time.perf_counter() - t0, out
-
-        def time_scalar():
-            t0 = time.perf_counter()
-            out = [(self._preview_key(state, o, ready), o) for o in options]
-            out.sort(key=lambda item: item[0])
-            return time.perf_counter() - t0, out
-
-        # Min of three runs each, alternating which backend goes first:
-        # ranking is pure (state untouched), a single call sits in the
-        # noise floor, and a fixed order would hand the second backend
-        # warm attribute caches.
-        runs = (
-            (time_vector, time_scalar) * 3
-            if calls % 2
-            else (time_scalar, time_vector) * 3
-        )
-        best = {time_vector: float("inf"), time_scalar: float("inf")}
-        out = {}
-        for fn in runs:
-            elapsed, result = fn()
-            best[fn] = min(best[fn], elapsed)
-            out[fn] = result
-        totals["vector"] += best[time_vector]
-        totals["scalar"] += best[time_scalar]
-        ranked, scalar = out[time_vector], out[time_scalar]
-        assert [k for k, _ in ranked] == [k for k, _ in scalar]
-        return ranked
-
-    ISKScheduler._ranked_options = instrumented
-    try:
-        ISKScheduler(
-            ISKOptions(k=params["preview_k"], preview="vector")
-        ).schedule(instance)
-    finally:
-        ISKScheduler._ranked_options = orig
-    return {
-        "tasks": params["preview_tasks"],
-        "k": params["preview_k"],
-        "wide_frontier_calls": calls,
-        "scalar_s": totals["scalar"],
-        "vector_s": totals["vector"],
-        "speedup": (
-            totals["scalar"] / totals["vector"] if totals["vector"] else 1.0
-        ),
-    }
-
-
 # -- equivalence sweep -------------------------------------------------------
 
 
@@ -375,7 +292,7 @@ def _schedule_sig(schedule) -> dict:
 
 
 def run_equivalence_sweep(params) -> dict:
-    checked = {"pa": 0, "pa_r_serial": 0, "pa_r_parallel": 0, "isk": 0}
+    checked = {"pa": 0, "pa_r_serial": 0, "pa_r_parallel": 0}
 
     for seed in range(params["pa_seeds"]):
         instance = paper_instance(params["pa_tasks"], seed=1000 + seed)
@@ -424,20 +341,6 @@ def run_equivalence_sweep(params) -> dict:
         checked["pa_r_serial"] += 1
         checked["pa_r_parallel"] += 1
 
-    for seed in range(params["isk_seeds"]):
-        instance = paper_instance(params["isk_tasks"], seed=3000 + seed)
-        for k in (1, 3, 5):
-            sigs = [
-                _schedule_sig(
-                    ISKScheduler(
-                        ISKOptions(k=k, preview=backend)
-                    ).schedule(instance).schedule
-                )
-                for backend in ("vector", "scalar")
-            ]
-            assert sigs[0] == sigs[1], f"IS-{k} diverged at seed {seed}"
-            checked["isk"] += 1
-
     checked["total"] = sum(checked.values())
     checked["identical"] = True
     return checked
@@ -452,7 +355,6 @@ def run_hot_paths_benchmark(profile: str = "quick") -> dict:
         "probe": run_probe_section(params),
         "timing": run_timing_section(params),
         "enumeration": run_enumeration_section(params),
-        "preview": run_preview_section(params),
     }
     scalar_total = sum(s["scalar_s"] for s in sections.values())
     vector_total = sum(s["vector_s"] for s in sections.values())

@@ -1,21 +1,18 @@
-"""IS-k search engine benchmark: apply/undo trail vs fork-per-option.
+"""IS-k search benchmark: apply/undo trail vs fork-per-option.
 
-The claim behind the PR: the IS-k window search spends most of its
-time duplicating ``PartialSchedule`` states — one deep-ish copy per
-ranked option per node — while the trail engine applies each option in
-place, recurses, and undoes from a mutation trail, visiting the exact
-same tree.  On the Table I instance mix the trail engine (plus
-read-only option ranking and incumbent seeding) must be at least
-``MIN_TRAIL_SPEEDUP`` times faster at IS-5 than the seed copy engine
-while producing byte-identical schedules.
+A fork-per-option window search spends most of its time duplicating
+``PartialSchedule`` states — one deep-ish copy per ranked option per
+node — while the production search applies each option in place,
+recurses, and undoes from a mutation trail, visiting the exact same
+tree.  On the Table I instance mix the trail search (plus read-only
+option ranking and incumbent seeding) must be at least
+``MIN_TRAIL_SPEEDUP`` times faster at IS-5 than the fork-per-option
+reference search of the test suite (``tests/isk_reference.py``) while
+producing byte-identical schedules.
 
-Sections:
-
-* ``search``  — IS-5 over ``paper_instance`` sizes/seeds, engine
-  "copy" vs "trail" (memo off so the trees match node-for-node),
-  identity asserted on ``Schedule.to_dict()`` minus metadata,
-* ``fanout``  — IS-5 trail engine, jobs=1 vs jobs=4 first-level window
-  fan-out; schedules must be bit-identical.
+Section ``search``: IS-5 over ``paper_instance`` sizes/seeds, reference
+("copy") vs trail (memo off so the trees match node-for-node), identity
+asserted on ``Schedule.to_dict()`` minus metadata.
 
 Runs standalone (JSON out) or under pytest::
 
@@ -31,16 +28,19 @@ import sys
 import time
 from pathlib import Path
 
+_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(0, str(_ROOT))  # the reference search lives in tests/
 try:
     import repro  # noqa: F401
 except ImportError:  # standalone invocation without PYTHONPATH=src
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    sys.path.insert(0, str(_ROOT / "src"))
 
 from _suite import write_trajectory
 
 from repro.baselines import ISKOptions, ISKScheduler
 from repro.benchgen import paper_instance
+from tests.isk_reference import CopyISKScheduler
 
 MIN_TRAIL_SPEEDUP = 3.0
 
@@ -51,16 +51,17 @@ _PROFILES = {
 
 
 def _schedule_key(schedule) -> dict:
-    """to_dict() minus metadata — node counts differ across engines."""
+    """to_dict() minus metadata — node counts differ across searches."""
     payload = schedule.to_dict()
     payload.pop("metadata", None)
     return payload
 
 
-def _run_is5(instance, engine: str, *, memo: bool = False, jobs: int = 1):
-    opts = ISKOptions(k=5, engine=engine, memo=memo, jobs=jobs)
+def _run_is5(instance, engine: str):
+    scheduler = CopyISKScheduler if engine == "copy" else ISKScheduler
+    opts = ISKOptions(k=5, memo=False)
     t0 = time.perf_counter()
-    result = ISKScheduler(opts).schedule(instance)
+    result = scheduler(opts).schedule(instance)
     return time.perf_counter() - t0, result
 
 
@@ -80,7 +81,7 @@ def run_search_benchmark(profile: str = "quick") -> dict:
                 trail_s = min(trail_s, s)
             assert _schedule_key(copy_res.schedule) == _schedule_key(
                 trail_res.schedule
-            ), f"engines diverged on tasks={size} seed={seed}"
+            ), f"searches diverged on tasks={size} seed={seed}"
             assert copy_res.nodes == trail_res.nodes, (
                 f"node counts diverged on tasks={size} seed={seed}: "
                 f"copy {copy_res.nodes} vs trail {trail_res.nodes}"
@@ -107,24 +108,6 @@ def run_search_benchmark(profile: str = "quick") -> dict:
     }
 
 
-def run_fanout_benchmark(profile: str = "quick") -> dict:
-    params = _PROFILES[profile]
-    instance = paper_instance(max(params["sizes"]), seed=2)
-
-    serial_s, serial = _run_is5(instance, "trail", memo=True, jobs=1)
-    jobs4_s, jobs4 = _run_is5(instance, "trail", memo=True, jobs=4)
-    identical = _schedule_key(serial.schedule) == _schedule_key(jobs4.schedule)
-    assert identical, "parallel IS-5 fan-out must be bit-identical to serial"
-    return {
-        "tasks": max(params["sizes"]),
-        "makespan": serial.schedule.makespan,
-        "serial_s": serial_s,
-        "jobs4_s": jobs4_s,
-        "fanout_windows": jobs4.stats.get("fanout_windows", 0),
-        "identical": identical,
-    }
-
-
 # -- pytest entry points ----------------------------------------------------
 
 
@@ -137,20 +120,9 @@ def test_trail_speedup():
         f"(x{report['speedup']:.1f})"
     )
     assert report["speedup"] >= MIN_TRAIL_SPEEDUP, (
-        f"trail engine only x{report['speedup']:.2f} faster than the copy "
-        f"engine at IS-5 (need >= x{MIN_TRAIL_SPEEDUP})"
+        f"trail search only x{report['speedup']:.2f} faster than the copy "
+        f"reference at IS-5 (need >= x{MIN_TRAIL_SPEEDUP})"
     )
-
-
-def test_fanout_identity_and_timing():
-    report = run_fanout_benchmark("quick")
-    print(
-        f"\nIS-5 fan-out [tasks={report['tasks']}]: "
-        f"serial {report['serial_s']:.2f}s, jobs=4 {report['jobs4_s']:.2f}s, "
-        f"fanout_windows={report['fanout_windows']}, "
-        f"identical={report['identical']}"
-    )
-    assert report["identical"]
 
 
 # -- script mode ------------------------------------------------------------
@@ -168,10 +140,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     profile = "quick" if args.quick else "full"
 
-    report = {
-        "search": run_search_benchmark(profile),
-        "fanout": run_fanout_benchmark(profile),
-    }
+    report = {"search": run_search_benchmark(profile)}
     text = json.dumps(report, indent=2)
     print(text)
     if args.out:

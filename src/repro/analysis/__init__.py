@@ -1,40 +1,12 @@
-"""Experiment harness, metrics, tables and Gantt rendering (Section VII)."""
+"""Experiment harness, metrics, tables and Gantt rendering (Section VII).
 
-from .export import (
-    convergence_csv,
-    export_all,
-    improvement_csv,
-    quality_records_csv,
-)
-from .gantt import render_gantt
-from .metrics import Improvement, group_improvement, improvement_percent
-from .online import (
-    OnlineMetrics,
-    OnlineSweepPoint,
-    TenantMetrics,
-    online_metrics,
-    online_sweep,
-    render_online_metrics,
-    render_online_sweep,
-)
-from .parallel import parallel_map, resolve_jobs
-from .robustness import (
-    RobustnessMetrics,
-    SweepPoint,
-    fault_sweep,
-    render_fault_sweep,
-    robustness_metrics,
-)
-from .report import render_html_report, write_html_report
-from .stats import ScheduleStats, schedule_stats
-from .runner import (
-    ConvergenceResults,
-    ExperimentConfig,
-    QualityResults,
-    run_convergence,
-    run_quality,
-)
-from .tables import render_series, render_table
+Every name below loads its submodule on first access (PEP 562), so a
+process that needs only :func:`resolve_jobs` or :func:`parallel_map`
+does not pay for the experiment runner, the benchmark generator or the
+report renderer.
+"""
+
+import importlib
 
 __all__ = [
     "render_gantt",
@@ -71,3 +43,35 @@ __all__ = [
     "render_series",
     "render_table",
 ]
+
+# Exported names by the submodule that defines them.
+_EXPORTED_FROM = {
+    "export": ("convergence_csv", "export_all", "improvement_csv",
+               "quality_records_csv"),
+    "gantt": ("render_gantt",),
+    "metrics": ("Improvement", "group_improvement", "improvement_percent"),
+    "online": ("OnlineMetrics", "OnlineSweepPoint", "TenantMetrics",
+               "online_metrics", "online_sweep", "render_online_metrics",
+               "render_online_sweep"),
+    "parallel": ("parallel_map", "resolve_jobs"),
+    "robustness": ("RobustnessMetrics", "SweepPoint", "fault_sweep",
+                   "render_fault_sweep", "robustness_metrics"),
+    "report": ("render_html_report", "write_html_report"),
+    "stats": ("ScheduleStats", "schedule_stats"),
+    "runner": ("ConvergenceResults", "ExperimentConfig", "QualityResults",
+               "run_convergence", "run_quality"),
+    "tables": ("render_series", "render_table"),
+}
+_OWNER = {name: module for module, names in _EXPORTED_FROM.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _OWNER:
+        value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -48,7 +48,6 @@ def quality_records_csv(results: QualityResults, path: str | Path | None = None)
             "is1_nodes", "is5_nodes", "is5_bound_pruned",
             "is5_memo_hits", "is5_memo_entries", "is5_incumbent_seeds",
             "is5_fallback_completions", "is5_max_undo_depth",
-            "is5_fanout_windows", "is5_jobs",
             "pa_energy_static_j", "pa_energy_dynamic_j",
             "pa_energy_reconf_j", "pa_energy_total_j", "devices_used",
         ]
@@ -66,7 +65,6 @@ def quality_records_csv(results: QualityResults, path: str | Path | None = None)
                 r.is1_nodes, r.is5_nodes, r.is5_bound_pruned,
                 r.is5_memo_hits, r.is5_memo_entries, r.is5_incumbent_seeds,
                 r.is5_fallback_completions, r.is5_max_undo_depth,
-                r.is5_fanout_windows, r.is5_jobs,
                 r.pa_energy_static_j, r.pa_energy_dynamic_j,
                 r.pa_energy_reconf_j, r.pa_energy_total_j, r.devices_used,
             ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import time as _time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from ..benchgen import paper_suite
@@ -80,10 +80,6 @@ class ExperimentConfig:
     use_floorplanner: bool = True
     jobs: int = 1
     pa_r_jobs: int = 1
-    # IS-k first-level window fan-out workers (k >= 2 only; the
-    # reduction is deterministic, so records are identical for any
-    # value — this knob trades processes for IS-5 wall-clock).
-    isk_jobs: int = 1
 
     def __post_init__(self) -> None:
         profile = self.profile or os.environ.get("REPRO_SUITE", "small")
@@ -143,8 +139,6 @@ class InstanceRecord:
     is5_incumbent_seeds: int = 0
     is5_fallback_completions: int = 0
     is5_max_undo_depth: int = 0
-    is5_fanout_windows: int = 0
-    is5_jobs: int = 1
     # Energy accounting (ROADMAP item 3): the PA schedule costed under
     # the reference ZedBoard power model.  Defaults keep pre-energy
     # quality.json files loadable via from_json.
@@ -340,14 +334,13 @@ class QualityResults:
             seeds = sum(r.is5_incumbent_seeds for r in group)
             fallbacks = sum(r.is5_fallback_completions for r in group)
             max_trail = max((r.is5_max_undo_depth for r in group), default=0)
-            fanout = sum(r.is5_fanout_windows for r in group)
             rows.append(
                 (size, nodes1, nodes5, bound, memo, seeds, fallbacks,
-                 max_trail, fanout)
+                 max_trail)
             )
         return render_table(
             ["# Tasks", "IS-1 nodes", "IS-5 nodes", "bound", "memo",
-             "seeds", "fallbacks", "max trail", "fanout wnd"],
+             "seeds", "fallbacks", "max trail"],
             rows,
             title="IS-k search statistics (summed per group)",
         )
@@ -403,9 +396,15 @@ class QualityResults:
     @classmethod
     def from_json(cls, path: str | Path) -> "QualityResults":
         payload = json.loads(Path(path).read_text())
+        # Columns of older files that no longer exist (the IS-5 fan-out
+        # counters) are dropped; missing ones take their defaults.
+        known = {f.name for f in fields(InstanceRecord)}
         return cls(
             config_profile=payload["profile"],
-            records=[InstanceRecord(**r) for r in payload["records"]],
+            records=[
+                InstanceRecord(**{k: v for k, v in r.items() if k in known})
+                for r in payload["records"]
+            ],
         )
 
 
@@ -442,13 +441,10 @@ def _evaluate_quality_item(item: _QualityItem) -> InstanceRecord:
             instance, "is-1", options={"node_limit": config.is1_node_limit}
         )
     )
-    is5_options: dict = {"node_limit": config.is5_node_limit}
-    if config.isk_jobs > 1:
-        # Fan-out never changes the schedule, so it only enters the
-        # request (and thus the cache key) when actually engaged.
-        is5_options["jobs"] = config.isk_jobs
     r5 = get_backend("is-5").run(
-        ScheduleRequest(instance, "is-5", options=is5_options)
+        ScheduleRequest(
+            instance, "is-5", options={"node_limit": config.is5_node_limit}
+        )
     )
     if config.pa_r_iteration_cap is not None:
         # Capped runs go through the parallel entry point even with
@@ -524,8 +520,6 @@ def _evaluate_quality_item(item: _QualityItem) -> InstanceRecord:
         is5_incumbent_seeds=s5.get("incumbent_seeds", 0),
         is5_fallback_completions=s5.get("fallback_completions", 0),
         is5_max_undo_depth=s5.get("max_undo_depth", 0),
-        is5_fanout_windows=s5.get("fanout_windows", 0),
-        is5_jobs=s5.get("jobs", 1),
         pa_energy_static_j=pa_energy.static_j,
         pa_energy_dynamic_j=pa_energy.dynamic_j,
         pa_energy_reconf_j=pa_energy.reconfiguration_j,

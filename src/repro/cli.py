@@ -57,14 +57,13 @@ def _cache_stats_line(stats: dict) -> str:
 
 def _search_stats_line(stats: dict) -> str:
     return (
-        f"is-k search [{stats['engine']}]: "
+        f"is-k search: "
         f"expanded={stats['nodes_expanded']} "
         f"bound_pruned={stats['bound_pruned']} "
         f"memo_hits={stats['memo_hits']} "
         f"seeds={stats['incumbent_seeds']} "
         f"fallbacks={stats['fallback_completions']} "
-        f"max_trail={stats['max_undo_depth']} "
-        f"fanout_windows={stats['fanout_windows']} jobs={stats['jobs']}"
+        f"max_trail={stats['max_undo_depth']}"
     )
 
 
@@ -93,22 +92,15 @@ def _schedule_request(args: argparse.Namespace, instance: Instance) -> ScheduleR
     seed = None
     if args.algorithm in ("pa", "pa-r"):
         options["floorplan"] = not args.no_floorplan
-    if args.algorithm == "pa-r" or args.algorithm.startswith("is-"):
+    if args.algorithm == "pa-r":
         from .analysis.parallel import resolve_jobs
 
-        jobs = resolve_jobs(args.jobs)
-    if args.algorithm == "pa-r":
-        options["jobs"] = jobs
+        options["jobs"] = resolve_jobs(args.jobs)
         if args.iterations is not None:
             options["iterations"] = args.iterations
         else:
             budget = args.budget
         seed = args.seed
-    if args.algorithm.startswith("is-"):
-        # jobs never changes the schedule (deterministic fan-out
-        # reduction), so only a real fan-out enters the cache key.
-        if jobs > 1:
-            options["jobs"] = jobs
     if args.algorithm == "exhaustive":
         options["node_limit"] = 500_000
         options["task_limit"] = args.exhaustive_task_limit
@@ -373,8 +365,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     }
     if args.objective == "weighted":
         options["alpha"] = args.alpha
-    # Like IS-k's jobs flag: candidate evaluation is deterministic for
-    # any fan-out, so only a real fan-out enters the options/cache key.
+    # Candidate evaluation is deterministic for any fan-out, so only a
+    # real fan-out enters the options/cache key.
     jobs = resolve_jobs(args.jobs)
     if jobs > 1:
         options["jobs"] = jobs
@@ -753,7 +745,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         profile=args.profile,
         jobs=resolve_jobs(args.jobs),
         pa_r_jobs=resolve_jobs(args.pa_r_jobs),
-        isk_jobs=resolve_jobs(args.isk_jobs),
     )
     wanted = set(args.exhibits) or {"all"}
     if "all" in wanted:
@@ -835,9 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes: PA-R restarts, or IS-k first-level "
-        "window fan-out for k >= 2 (1 = serial, -1 = all cores; "
-        "schedules are identical for any value)",
+        help="PA-R restart worker processes (1 = serial, -1 = all cores)",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-floorplan", action="store_true")
@@ -945,8 +934,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--no-warm-starts", action="store_true",
-        help="disable shared floorplanners and IS-k incumbent hints "
-        "(for A/B-ing the warm-start layers; results are identical)",
+        help="give every PA/PA-R cell its own floorplanner (for A/B-ing "
+        "the warm-start layer; results are identical)",
     )
     p.add_argument(
         "--timeout", type=float, default=None,
@@ -1299,11 +1288,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--pa-r-jobs", type=int, default=1,
         help="worker processes for PA-R restart batches within one "
         "instance (1 = serial; results are bit-identical for any value)",
-    )
-    p.add_argument(
-        "--isk-jobs", type=int, default=1,
-        help="worker processes for the IS-5 first-level window fan-out "
-        "(1 = serial; schedules are bit-identical for any value)",
     )
     p.add_argument("-o", "--output", default=None, help="results directory")
     p.add_argument("-v", "--verbose", action="store_true")

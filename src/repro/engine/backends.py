@@ -15,9 +15,8 @@ Request options recognised per backend:
             ``jobs`` (restart worker processes; >1 or a set
             ``iterations`` routes through the parallel entry point)
 ``is-<k>``  ``node_limit``, ``branch_cap``, ``enable_module_reuse``,
-            ``communication_overhead``, plus the search-engine knobs
-            ``engine`` ("trail"/"copy"), ``memo``, ``incumbent_seed``
-            and ``jobs`` (parallel first-level fan-out for k >= 2)
+            ``communication_overhead``, plus the search knobs ``memo``
+            and ``incumbent_seed``
 ``list``    ``enable_module_reuse``, ``communication_overhead``
 ``exhaustive`` as ``is-<k>`` minus ``branch_cap``/``memo``/
             ``incumbent_seed``, plus ``task_limit`` (default 12) —
@@ -228,10 +227,8 @@ class ISKBackend(SchedulerBackend):
             "branch_cap",
             "enable_module_reuse",
             "communication_overhead",
-            "engine",
             "memo",
             "incumbent_seed",
-            "jobs",
         }
     )
 
@@ -246,18 +243,7 @@ class ISKBackend(SchedulerBackend):
     def create(cls, algorithm: str) -> "ISKBackend":
         return cls(k=int(_ISK_PATTERN.match(algorithm).group(1)))
 
-    def run(
-        self,
-        request: ScheduleRequest,
-        floorplanner=None,
-        incumbent_hint: float | None = None,
-    ) -> ScheduleOutcome:
-        """Run IS-k.  ``incumbent_hint`` is execution context (like
-        ``floorplanner``): an external makespan upper bound — e.g. a
-        neighboring sweep point's result — that prunes the trail DFS
-        earlier but is provably result-neutral (see
-        :meth:`ISKScheduler.schedule`), so it never enters the cache
-        key."""
+    def run(self, request: ScheduleRequest, floorplanner=None) -> ScheduleOutcome:
         unknown = set(request.options) - self._OPTION_KEYS
         if unknown:
             raise EngineError(
@@ -266,7 +252,7 @@ class ISKBackend(SchedulerBackend):
             )
         result = ISKScheduler(
             ISKOptions(k=self.k, **request.options)
-        ).schedule(request.instance, incumbent_hint=incumbent_hint)
+        ).schedule(request.instance)
         return ScheduleOutcome(
             schedule=result.schedule,
             feasible=result.feasible,
@@ -316,8 +302,6 @@ class ExhaustiveBackend(SchedulerBackend):
             "task_limit",
             "enable_module_reuse",
             "communication_overhead",
-            "engine",
-            "jobs",
         }
     )
 

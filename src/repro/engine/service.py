@@ -71,6 +71,15 @@ from .backend import (
 from .batch import BatchRecord, BatchReport
 from .store import ResultStore
 
+#: Deadline for reading one whole request — request line, headers and
+#: body — before the connection is answered with 408 [s].
+REQUEST_READ_TIMEOUT = 30.0
+#: Largest accepted ``Content-Length``; a larger declared body is
+#: answered with 413 before any of it is read [bytes].  The largest
+#: request the repo's generators produce (a 100-task instance) is
+#: about 54 KB.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 __all__ = [
     "ServiceConfig",
     "ServiceMetrics",
@@ -258,31 +267,18 @@ class SchedulerService:
     ) -> None:
         try:
             try:
-                request_line = await asyncio.wait_for(
-                    reader.readline(), timeout=30.0
+                request = await asyncio.wait_for(
+                    self._read_request(reader), timeout=REQUEST_READ_TIMEOUT
                 )
             except asyncio.TimeoutError:
+                await self._respond(writer, 408, {"error": "request timed out"})
                 return
-            if not request_line:
+            except ServiceError as exc:
+                await self._respond(writer, exc.status, {"error": str(exc)})
                 return
-            try:
-                method, target, _ = request_line.decode("latin-1").split(None, 2)
-            except ValueError:
-                await self._respond(writer, 400, {"error": "malformed request"})
+            if request is None:
                 return
-            headers: dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            declared = headers.get("content-length") or "0"
-            if not (declared.isascii() and declared.isdigit()):
-                await self._respond(writer, 400, {"error": "invalid Content-Length"})
-                return
-            length = int(declared)
-            body = await reader.readexactly(length) if length else b""
+            method, target, body = request
             status, payload, extra = await self._route(
                 method.upper(), target.partition("?")[0], body
             )
@@ -296,10 +292,43 @@ class SchedulerService:
             except Exception:
                 pass
 
+    async def _read_request(
+        self, reader: asyncio.StreamReader
+    ) -> tuple[str, str, bytes] | None:
+        """``(method, target, body)`` of one request, or ``None`` when the
+        client closed before sending a request line.  Raises
+        :class:`ServiceError` (400/413) for a request refused unread."""
+        request_line = await reader.readline()
+        if not request_line:
+            return None
+        try:
+            method, target, _ = request_line.decode("latin-1").split(None, 2)
+        except ValueError:
+            raise ServiceError("malformed request", 400) from None
+        headers: dict[str, str] = {}
+        while True:
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        declared = headers.get("content-length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise ServiceError("invalid Content-Length", 400)
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            raise ServiceError(
+                f"request body over {MAX_BODY_BYTES} bytes", 413
+            )
+        body = await reader.readexactly(length) if length else b""
+        return method, target, body
+
     _STATUS_TEXT = {
         200: "OK",
         400: "Bad Request",
         404: "Not Found",
+        408: "Request Timeout",
+        413: "Content Too Large",
         429: "Too Many Requests",
         500: "Internal Server Error",
         504: "Gateway Timeout",

@@ -75,6 +75,13 @@ class TestQualityRun:
         clone = QualityResults.from_json(path)
         assert len(clone.records) == len(results.records)
         assert clone.render_fig3() == results.render_fig3()
+        # Files written while IS-5 had a fan-out carry two more columns.
+        payload = json.loads(path.read_text())
+        for record in payload["records"]:
+            record.update(is5_fanout_windows=0, is5_jobs=1)
+        path.write_text(json.dumps(payload))
+        old = QualityResults.from_json(path)
+        assert old.render_fig3() == results.render_fig3()
 
     def test_table1_reports_both_is5_and_budget_columns(self, results):
         table = results.render_table1()

@@ -81,3 +81,51 @@ def test_service_names_load_on_first_use():
         "print(json.dumps([before, ServiceThread is direct]))"
     )
     assert result == [False, True]
+
+
+# Loaded by `repro experiments` only; a PA-R schedule resolves its
+# worker count through `repro.analysis.parallel` without them.
+HARNESS = ("repro.analysis.runner", "repro.benchgen", "repro.analysis.report")
+
+
+def test_parallel_helpers_leave_the_harness_unloaded():
+    loaded = _python(
+        "import json, sys; import repro.analysis.parallel\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    assert [name for name in HARNESS if name in loaded] == []
+
+
+def test_pa_r_schedule_request_leaves_the_harness_unloaded(tmp_path):
+    from repro.benchgen import paper_instance
+
+    path = tmp_path / "app.json"
+    paper_instance(10, seed=1).to_json(str(path))
+    result = _python(
+        "import json, sys\n"
+        "from repro.cli import _schedule_request, build_parser\n"
+        "from repro.model import Instance\n"
+        f"instance = Instance.from_json({str(path)!r})\n"
+        "args = build_parser().parse_args(\n"
+        f"    ['schedule', {str(path)!r}, '--algorithm', 'pa-r', '--jobs', '2'])\n"
+        "request = _schedule_request(args, instance)\n"
+        "print(json.dumps({'jobs': request.options['jobs'],\n"
+        "                  'loaded': sorted(sys.modules)}))"
+    )
+    assert result["jobs"] == 2
+    assert [name for name in HARNESS if name in result["loaded"]] == []
+
+
+def test_analysis_surface_survives_lazy_imports():
+    result = _python(
+        "import json, repro.analysis as analysis\n"
+        "from repro.analysis import run_quality, resolve_jobs\n"
+        "import repro.analysis.runner, repro.analysis.parallel\n"
+        "same = (run_quality is repro.analysis.runner.run_quality\n"
+        "        and resolve_jobs is repro.analysis.parallel.resolve_jobs)\n"
+        "namespace = {}\n"
+        "exec('from repro.analysis import *', namespace)\n"
+        "print(json.dumps({'same': same, 'count': len(analysis.__all__),\n"
+        "                  'star': sorted(set(analysis.__all__) - set(namespace))}))"
+    )
+    assert result == {"same": True, "count": 33, "star": []}

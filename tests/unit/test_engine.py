@@ -87,6 +87,11 @@ class TestRegistry:
             ("is-1", {"floorplan": True}),
             ("list", {"node_limit": 5}),
             ("exhaustive", {"branch_cap": 5}),
+            # The removed copy engine and first-level fan-out knobs.
+            ("is-5", {"engine": "copy"}),
+            ("is-5", {"jobs": 2}),
+            ("exhaustive", {"engine": "copy"}),
+            ("exhaustive", {"jobs": 2}),
         ]:
             with pytest.raises(EngineError, match="unknown option"):
                 get_backend(algorithm).run(

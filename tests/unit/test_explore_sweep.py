@@ -126,16 +126,14 @@ class TestDeterminism:
 
 class TestWarmStartIdentity:
     def test_warm_sweep_matches_independent_solves(self, tmp_path, instance):
-        # The tentpole soundness gate: shared planners + IS-k
-        # incumbent hints must select exactly the schedules that
-        # independent per-point solves select.
+        # The soundness gate: shared planners must select exactly the
+        # schedules that independent per-point solves select.
         spec = GridSpec(
             algorithms=["pa", "is-1", "is-2", "is-3"],
             fabric_scales=[1.0, 0.8],
         )
         store = ResultStore(tmp_path / "warm")
         warm = run_sweep(instance, spec, store=store, warm_starts=True)
-        assert warm.hint_stats["hint_windows"] > 0
         for point in expand_grid(instance, spec):
             if point.request is None:
                 continue
@@ -154,7 +152,6 @@ class TestWarmStartIdentity:
         warm = run_sweep(
             instance, spec, store=ResultStore(tmp_path / "b"), warm_starts=True
         )
-        assert cold.hint_stats["hint_windows"] == 0
         for x, y in zip(cold.records, warm.records):
             assert x.makespan == y.makespan
             assert x.feasible == y.feasible

@@ -1,4 +1,4 @@
-"""Unit tests for the PR-8 hot paths: packed dominance probe, batched
+"""Unit tests for the hot paths: packed dominance probe, batched
 floorplan queries, IS-k preview ranking, and the lean device pickle."""
 
 import json
@@ -9,13 +9,14 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.baselines import isk as isk_mod
 from repro.baselines.isk import ISKOptions, ISKScheduler
 from repro.benchgen.suite import paper_instance
 from repro.floorplan.device import FabricDevice, small_device, zynq_7z020
 from repro.floorplan.floorplanner import Floorplanner
 from repro.floorplan.placements import candidate_placements
 from repro.model import ResourceVector
+
+from ..isk_reference import CopyISKScheduler
 
 
 def _random_demands(rng: random.Random) -> list[ResourceVector]:
@@ -161,55 +162,41 @@ class TestLeanPickle:
 
 
 class TestPreviewBackends:
+    """IS-k ranks options by a read-only preview; it must agree with
+    forking the state and applying each option (the reference search's
+    ranking), and the removed vector/scalar switch is gone."""
+
     def test_ranked_options_identical_per_call(self, monkeypatch):
-        """Every ranking call returns the same keys in the same order
-        under both backends (thresholds disabled)."""
-        monkeypatch.setattr(isk_mod, "_VECTOR_PREVIEW_MIN", 1)
         instance = paper_instance(20, seed=77)
-        scheduler = ISKScheduler(ISKOptions(k=2, preview="vector"))
+        reference = CopyISKScheduler(ISKOptions(k=2))
         orig = ISKScheduler._ranked_options
+        calls = [0]
 
         def checked(self, state, task_id):
             ranked = orig(self, state, task_id)
-            try:
-                ready = state.ready_time(task_id)
-            except ValueError:
-                return ranked
-            options = self._task_options(state, task_id)
-            scalar = [
-                (self._preview_key(state, o, ready), o) for o in options
-            ]
-            scalar.sort(key=lambda item: item[0])
-            assert [k for k, _ in ranked] == [k for k, _ in scalar]
-            # _task_options is deterministic, so (impl, target) pairs
-            # identify options across the two independently built lists.
-            assert [(o.impl.name, o.target) for _, o in ranked] == (
-                [(o.impl.name, o.target) for _, o in scalar]
-            )
+            forks = reference._ranked_forks(state, task_id)
+            assert [key[:2] for key, _ in ranked] == [key for key, _ in forks]
+            calls[0] += 1
             return ranked
 
         monkeypatch.setattr(ISKScheduler, "_ranked_options", checked)
-        scheduler.schedule(instance)
+        ISKScheduler(ISKOptions(k=2)).schedule(instance)
+        assert calls[0] > len(instance.taskgraph)
 
     @pytest.mark.parametrize("k", [1, 3])
-    def test_schedules_bit_identical(self, monkeypatch, k):
-        monkeypatch.setattr(isk_mod, "_VECTOR_PREVIEW_MIN", 1)
+    def test_schedules_bit_identical(self, k):
         instance = paper_instance(25, seed=13)
-        rv = ISKScheduler(ISKOptions(k=k, preview="vector")).schedule(instance)
-        rs = ISKScheduler(ISKOptions(k=k, preview="scalar")).schedule(instance)
-        assert rv.makespan == rs.makespan
-        sv, ss = rv.schedule, rs.schedule
-        assert {
-            t: (st.start, st.end, st.implementation.name)
-            for t, st in sv.tasks.items()
-        } == {
-            t: (st.start, st.end, st.implementation.name)
-            for t, st in ss.tasks.items()
-        }
+        preview = ISKScheduler(ISKOptions(k=k)).schedule(instance)
+        forks = CopyISKScheduler(ISKOptions(k=k)).schedule(instance)
+        assert preview.makespan == forks.makespan
+        sp, sf = preview.schedule.to_dict(), forks.schedule.to_dict()
+        sp.pop("metadata")
+        sf.pop("metadata")
+        assert sp == sf
 
     def test_preview_option_validated(self):
-        with pytest.raises(ValueError):
-            ISKOptions(preview="simd")
+        with pytest.raises(TypeError):
+            ISKOptions(preview="scalar")
 
 
 class TestProfileCLI:

@@ -6,9 +6,11 @@ from repro.baselines import ISKOptions, ISKScheduler, isk_schedule
 from repro.benchgen import paper_instance
 from repro.validate import check_schedule
 
+from ..isk_reference import copy_isk_schedule
+
 
 def schedule_key(schedule) -> dict:
-    """to_dict() minus metadata — node counts differ across engines."""
+    """to_dict() minus metadata — node counts differ across searches."""
     payload = schedule.to_dict()
     payload.pop("metadata", None)
     return payload
@@ -89,26 +91,30 @@ class TestIS5:
 
 
 class TestEngineOptions:
+    """IS-k has one window search; the removed ``engine``/``jobs``
+    knobs are rejected rather than silently ignored."""
+
     def test_engine_validated(self):
-        with pytest.raises(ValueError):
-            ISKOptions(engine="teleport")
+        with pytest.raises(TypeError):
+            ISKOptions(engine="copy")
 
     def test_jobs_validated(self):
-        with pytest.raises(ValueError):
-            ISKOptions(jobs=-2)
+        with pytest.raises(TypeError):
+            ISKOptions(jobs=2)
 
 
 class TestEngineEquivalence:
-    """The trail engine must reproduce the seed copy engine's schedules
-    decision-for-decision (ISSUE 5 acceptance criterion)."""
+    """The in-place trail search must reproduce the fork-per-option
+    reference search (``tests/isk_reference.py``) decision for
+    decision."""
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_copy_vs_trail_across_seeds(self, k):
         for seed in range(20):
             instance = paper_instance(10, seed=seed)
-            copy = isk_schedule(instance, k=k, engine="copy")
+            copy = copy_isk_schedule(instance, k=k)
             # memo off: the trees must match node-for-node.
-            bare = isk_schedule(instance, k=k, engine="trail", memo=False)
+            bare = isk_schedule(instance, k=k, memo=False)
             assert schedule_key(bare.schedule) == schedule_key(copy.schedule), (
                 f"trail diverged from copy at k={k} seed={seed}"
             )
@@ -119,18 +125,6 @@ class TestEngineEquivalence:
                 f"memoized trail diverged from copy at k={k} seed={seed}"
             )
             assert full.nodes <= copy.nodes
-
-    @pytest.mark.parametrize("k", [3, 5])
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_fanout_identical_to_serial(self, k, jobs):
-        for seed in (2, 7, 11):
-            instance = paper_instance(12, seed=seed)
-            serial = isk_schedule(instance, k=k, jobs=1)
-            fanned = isk_schedule(instance, k=k, jobs=jobs)
-            assert schedule_key(fanned.schedule) == schedule_key(
-                serial.schedule
-            ), f"fan-out diverged at k={k} jobs={jobs} seed={seed}"
-            assert fanned.stats["fanout_windows"] > 0
 
     def test_exhausted_budget_completes_from_deepest_partial(
         self, medium_instance
@@ -151,20 +145,20 @@ class TestSearchStats:
     def test_stats_populated(self, medium_instance):
         result = isk_schedule(medium_instance, k=5)
         stats = result.stats
-        assert stats["engine"] == "trail"
-        assert stats["jobs"] == 1
+        assert set(stats) == {
+            "nodes_expanded", "bound_pruned", "memo_hits", "memo_entries",
+            "incumbent_seeds", "fallback_completions", "max_undo_depth",
+        }
         assert stats["nodes_expanded"] == result.nodes > 0
         assert stats["incumbent_seeds"] == result.iterations
         assert stats["max_undo_depth"] > 0
-        assert stats["fanout_windows"] == 0
         for key in ("bound_pruned", "memo_hits", "memo_entries",
                     "fallback_completions"):
             assert stats[key] >= 0
 
     def test_copy_engine_stats_minimal(self, medium_instance):
-        result = isk_schedule(medium_instance, k=3, engine="copy")
-        assert result.stats["engine"] == "copy"
-        assert result.stats["nodes_expanded"] == result.nodes
+        result = copy_isk_schedule(medium_instance, k=3)
+        assert result.stats == {"nodes_expanded": result.nodes}
 
 
 class TestModuleReuseKnob:

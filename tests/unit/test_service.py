@@ -25,6 +25,7 @@ from repro.engine import (
     ServiceThread,
     run_batch_remote,
 )
+from repro.engine import service as service_mod
 from repro.engine.backend import request_to_payload
 from repro.engine.backends import ListBackend
 
@@ -259,6 +260,53 @@ class TestBadRequests:
             head, _, body = response.partition(b"\r\n\r\n")
             assert head.startswith(b"HTTP/1.1 400 "), response
             assert json.loads(body) == {"error": "invalid Content-Length"}
+            assert client.healthy()
+
+    @staticmethod
+    def _raw_exchange(base_url: str, data: bytes) -> tuple[bytes, dict]:
+        """Send ``data`` on a raw socket, then read until the server
+        closes; returns the status line and the JSON body."""
+        url = urlsplit(base_url)
+        with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
+            sock.sendall(data)
+            response = b""
+            while chunk := sock.recv(4096):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        return head.split(b"\r\n")[0], json.loads(body)
+
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            b"POST /schedule HTTP/1.1\r\nHost: x\r\n",  # headers stall
+            b"POST /schedule HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}",  # body
+        ],
+        ids=["headers", "body"],
+    )
+    def test_stalled_request_is_408(self, monkeypatch, partial):
+        monkeypatch.setattr(service_mod, "REQUEST_READ_TIMEOUT", 0.5)
+        with ServiceThread(_config()) as handle:
+            client = ServiceClient(handle.url)
+            client.wait_ready()
+            t0 = time.monotonic()
+            status, body = self._raw_exchange(handle.url, partial)
+            assert status.startswith(b"HTTP/1.1 408 "), status
+            assert body == {"error": "request timed out"}
+            assert time.monotonic() - t0 < 5.0
+            assert client.healthy()
+
+    def test_oversized_body_is_413(self):
+        with ServiceThread(_config()) as handle:
+            client = ServiceClient(handle.url)
+            client.wait_ready()
+            declared = service_mod.MAX_BODY_BYTES + 1
+            status, body = self._raw_exchange(
+                handle.url,
+                f"POST /schedule HTTP/1.1\r\nContent-Length: {declared}"
+                "\r\n\r\n{}".encode(),
+            )
+            assert status.startswith(b"HTTP/1.1 413 "), status
+            assert "bytes" in body["error"]
             assert client.healthy()
 
     def test_unknown_route_is_404(self):
