@@ -1,29 +1,22 @@
-"""Parallel harness + incremental timing benchmarks.
+"""Parallel harness benchmark.
 
-Two claims to measure:
+``run_quality(jobs=N)`` must beat the serial run wall-clock on a
+multi-core host while producing the identical record stream.
 
-* ``run_quality(jobs=N)`` beats the serial run wall-clock on a
-  multi-core host while producing the identical record stream, and
-* incremental earliest-start propagation in the Section V-G phase
-  (``PAOptions.incremental_timing``) beats the full-CPM-pass-per-
-  reconfiguration baseline while producing bit-identical schedules.
-
-Agreement is asserted unconditionally; speedup assertions engage only
-where they are meaningful (pool speedup needs >1 core — on a 1-core
+Agreement is asserted unconditionally; the speedup assertion engages
+only where it is meaningful (pool speedup needs >1 core — on a 1-core
 runner the pool adds pure overhead and the test reports instead of
-asserting).
+asserting).  The Section V-G incremental earliest starts are checked
+snapshot by snapshot against the full CPM pass in the unit tests
+(``tests/unit/test_reconf.py``).
 """
 
 import os
 import time
 
-import pytest
-
 from repro.analysis.runner import ExperimentConfig, run_quality
-from repro.benchgen import paper_instance
-from repro.core import PAOptions, do_schedule
 
-from _suite import profile, timing_sizes
+from _suite import profile
 
 
 def _config(jobs: int) -> ExperimentConfig:
@@ -62,32 +55,3 @@ def test_parallel_run_quality_agrees_and_speeds_up():
         # Pool overhead must at least be amortized on a real multi-core
         # host; the margin is deliberately lax for noisy CI boxes.
         assert speedup > 1.1, f"expected wall-clock speedup, got x{speedup:.2f}"
-
-
-@pytest.mark.parametrize("incremental", [False, True], ids=["full", "incremental"])
-def test_reconf_timing_modes(benchmark, incremental):
-    """Wall-clock of doSchedule under full vs incremental V-G timing."""
-    size = timing_sizes()[-1]
-    instance = paper_instance(size, seed=1)
-    options = PAOptions(incremental_timing=incremental)
-    result = benchmark(lambda: do_schedule(instance, options))
-    benchmark.extra_info["makespan"] = result.makespan
-    benchmark.extra_info["tasks"] = size
-
-
-def test_incremental_timing_agrees_with_full():
-    """Starts must match full recomputation to 1e-9 on every node —
-    here via whole-schedule equality plus the verify mode's per-snapshot
-    cross-check."""
-    for size in timing_sizes():
-        instance = paper_instance(size, seed=7)
-        fast = do_schedule(
-            instance,
-            PAOptions(incremental_timing=True, verify_incremental_timing=True),
-        )
-        slow = do_schedule(instance, PAOptions(incremental_timing=False))
-        assert fast.makespan == pytest.approx(slow.makespan, abs=1e-9)
-        for task_id, planned in fast.tasks.items():
-            other = slow.tasks[task_id]
-            assert planned.start == pytest.approx(other.start, abs=1e-9)
-            assert planned.end == pytest.approx(other.end, abs=1e-9)

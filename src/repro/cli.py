@@ -39,7 +39,6 @@ from .engine import (
     load_manifest,
     run_batch,
 )
-from .floorplan import Floorplanner, render_floorplan
 from .model import Instance, Schedule
 from .validate import check_schedule
 
@@ -528,6 +527,8 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
 
 
 def _cmd_floorplan(args: argparse.Namespace) -> int:
+    from .floorplan import Floorplanner, render_floorplan
+
     instance = _load_instance(args.instance)
     schedules = [
         Schedule.from_dict(json.loads(Path(path).read_text()))

@@ -73,22 +73,6 @@ class PAOptions:
         batches (1 = serial in-process, -1 = all cores).  Ignored by
         the deterministic PA pipeline and by the serial
         :func:`~repro.core.randomized.pa_r_schedule`.
-    incremental_timing:
-        Use dirty-frontier incremental earliest-start propagation in
-        the reconfiguration-scheduling phase (Section V-G) instead of a
-        full CPM forward pass per reconfiguration.  Bit-identical
-        results; ``False`` is the escape hatch for debugging and for
-        the equivalence benchmarks.
-    timing:
-        Timing-pass backend: ``"vector"`` (default) runs forward and
-        backward longest-path propagation as per-level numpy segment
-        reductions when the graph is wide enough to pay for the array
-        dispatch (scalar otherwise — adaptive, bit-identical either
-        way); ``"scalar"`` forces the dict-loop passes everywhere (the
-        reference limb of the hot-path equivalence benchmarks).
-    verify_incremental_timing:
-        Cross-check every incremental earliest-start snapshot against a
-        full recomputation (slow; used by tests).
     selection_policy:
         Step V-A policy: ``"cost"`` is the paper's Eq. 3 metric;
         ``"fastest"`` always picks the fastest HW candidate (an
@@ -111,18 +95,11 @@ class PAOptions:
     shrink_factor: float = 0.9
     max_shrink_iterations: int = 12
     critical_tolerance: float = 1e-6
-    incremental_timing: bool = True
-    verify_incremental_timing: bool = False
-    timing: str = "vector"
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        from .timing import TIMING_BACKENDS
-
         if isinstance(self.ordering, str):
             self.ordering = TaskOrdering(self.ordering)
-        if self.timing not in TIMING_BACKENDS:
-            raise ValueError(f"timing must be one of {TIMING_BACKENDS}")
         if self.window_mode not in ("slot", "cpm"):
             raise ValueError("window_mode must be 'slot' or 'cpm'")
         if self.selection_policy not in ("cost", "fastest", "smallest", "adaptive"):

@@ -95,25 +95,16 @@ def _build_reconf_tasks(state: PAState, critical: set[str]) -> list[ReconfTask]:
     return tasks
 
 
-def schedule_reconfigurations(
-    state: PAState,
-    incremental: bool | None = None,
-    verify: bool | None = None,
-) -> ReconfPlan:
+def schedule_reconfigurations(state: PAState) -> ReconfPlan:
     """Run the phase and return the final augmented timing.
 
-    With ``incremental`` (the :class:`PAOptions` default) the phase
-    seeds one forward pass and lets every controller-serialization arc
-    propagate only its dirty frontier, instead of recomputing a full
-    CPM pass per reconfiguration — O(R·(V+E)) → one pass plus frontier
-    updates.  ``verify`` cross-checks every snapshot against the full
-    pass (tests / debugging).
+    The phase seeds one forward pass and lets every
+    controller-serialization arc propagate only its dirty frontier
+    (:class:`~repro.core.timing.IncrementalStarts`), instead of
+    recomputing a full CPM pass per reconfiguration — O(R·(V+E)) → one
+    pass plus frontier updates, with bit-identical starts.
     """
     options = state.options
-    if incremental is None:
-        incremental = options.incremental_timing
-    if verify is None:
-        verify = options.verify_incremental_timing
     timing = state.timing
     critical = timing.critical_set(options.critical_tolerance)
     reconf_tasks = _build_reconf_tasks(state, critical)
@@ -136,27 +127,8 @@ def schedule_reconfigurations(
     chains: list[list[str]] = [[] for _ in range(n_controllers)]
     controller_of: dict[str, int] = {}
 
-    backend = options.timing
-
-    if incremental:
-        live = graph.begin_incremental(exe, backend=backend)
-
-        def starts() -> dict[str, float]:
-            if verify:
-                full = graph.earliest_starts(exe, backend=backend)
-                drift = max(
-                    (abs(live.est[n] - full[n]) for n in full), default=0.0
-                )
-                if drift > 1e-9:
-                    raise AssertionError(
-                        f"incremental starts drifted from full CPM by {drift}"
-                    )
-            return live.snapshot()
-
-    else:
-
-        def starts() -> dict[str, float]:
-            return graph.earliest_starts(exe, backend=backend)
+    live = graph.begin_incremental(exe)
+    starts = live.snapshot
 
     # -- critical reconfigurations: chain in T_MIN order -----------------
     current = starts()
@@ -231,8 +203,7 @@ def schedule_reconfigurations(
         )
 
     final = starts()
-    if incremental:
-        graph.end_incremental()
+    graph.end_incremental()
     return ReconfPlan(
         graph=graph,
         exe=exe,

@@ -115,9 +115,7 @@ class PAState:
                 raise RuntimeError(
                     f"tasks without an implementation: {missing[:5]}"
                 )
-            self._timing = self.graph.compute_windows(
-                self.exe, backend=self.options.timing
-            )
+            self._timing = self.graph.compute_windows(self.exe)
         return self._timing
 
     def invalidate_timing(self) -> None:

@@ -79,6 +79,11 @@ REQUEST_READ_TIMEOUT = 30.0
 #: request the repo's generators produce (a 100-task instance) is
 #: about 54 KB.
 MAX_BODY_BYTES = 16 * 1024 * 1024
+#: Longest request line or header line; a longer one is answered with
+#: 431 (the asyncio stream default) [bytes].
+MAX_LINE_BYTES = 64 * 1024
+#: Most header lines read per request; one more is answered with 431.
+MAX_HEADER_COUNT = 100
 
 __all__ = [
     "ServiceConfig",
@@ -102,6 +107,16 @@ class ServiceError(RuntimeError):
 class _RequestTimeout(ServiceError):
     def __init__(self, message: str) -> None:
         super().__init__(message, status=504)
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line; 431 past ``MAX_LINE_BYTES``."""
+    try:
+        return await reader.readline()
+    except ValueError:  # the stream's LimitOverrunError, re-raised
+        raise ServiceError(
+            f"request line or header over {MAX_LINE_BYTES} bytes", 431
+        ) from None
 
 
 @dataclass
@@ -208,7 +223,8 @@ class SchedulerService:
             self._executor = ProcessPoolExecutor(max_workers=workers)
         self._closing = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle, self.config.host, self.config.port
+            self._handle, self.config.host, self.config.port,
+            limit=MAX_LINE_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.config.log_interval > 0:
@@ -297,8 +313,8 @@ class SchedulerService:
     ) -> tuple[str, str, bytes] | None:
         """``(method, target, body)`` of one request, or ``None`` when the
         client closed before sending a request line.  Raises
-        :class:`ServiceError` (400/413) for a request refused unread."""
-        request_line = await reader.readline()
+        :class:`ServiceError` (400/413/431) for a request refused unread."""
+        request_line = await _read_line(reader)
         if not request_line:
             return None
         try:
@@ -306,12 +322,14 @@ class SchedulerService:
         except ValueError:
             raise ServiceError("malformed request", 400) from None
         headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
+        for _ in range(MAX_HEADER_COUNT + 1):
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            raise ServiceError(f"more than {MAX_HEADER_COUNT} headers", 431)
         declared = headers.get("content-length") or "0"
         if not (declared.isascii() and declared.isdigit()):
             raise ServiceError("invalid Content-Length", 400)
@@ -330,6 +348,7 @@ class SchedulerService:
         408: "Request Timeout",
         413: "Content Too Large",
         429: "Too Many Requests",
+        431: "Request Header Fields Too Large",
         500: "Internal Server Error",
         504: "Gateway Timeout",
     }

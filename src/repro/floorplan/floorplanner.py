@@ -31,10 +31,7 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-try:  # numpy backs the batched dominance prefilter; scalar path works without
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is part of the toolchain
-    _np = None
+import numpy as _np
 
 from ..model import Architecture, Region, ResourceVector
 from .backtrack import counting_precheck, solve_backtracking
@@ -42,17 +39,7 @@ from .device import FabricDevice, FabricDevice as _Device, zynq_7z020
 from .milp import solve_milp
 from .placements import Placement, candidate_placements
 
-__all__ = [
-    "FloorplanResult",
-    "Floorplanner",
-    "device_for_architecture",
-    "PROBE_BACKENDS",
-]
-
-#: Dominance-probe backends: ``"vector"`` batches the necessary-condition
-#: prefilter over the whole index per query (scalar exact matching only on
-#: the survivors); ``"scalar"`` scans entry by entry (the reference limb).
-PROBE_BACKENDS = ("vector", "scalar")
+__all__ = ["FloorplanResult", "Floorplanner", "device_for_architecture"]
 
 
 @dataclass
@@ -344,8 +331,8 @@ class _PackedDominance:
             self.count -= 1
 
     def _ensure(self) -> bool:
-        """(Re)build the packed arrays; False when unavailable/empty."""
-        if _np is None or not self.rows:
+        """(Re)build the packed arrays; False when the store is empty."""
+        if not self.rows:
             return False
         if self.arr is not None:
             return True
@@ -415,15 +402,13 @@ class Floorplanner:
         Monotone dominance index in front of the engines (requires
         ``cache``); ``False`` reproduces the PR-2 exact-key-only
         behaviour, which the cache benchmarks compare against.
-    probe:
-        Dominance-probe backend.  ``"vector"`` (default) answers the
-        necessary-condition prefilter for the whole index in one numpy
-        broadcast per direction and only runs the exact injective
-        matching on the survivors; ``"scalar"`` is the entry-by-entry
-        reference scan.  Both return bit-identical results — the
-        prefilter is provably necessary for a match (see
-        :func:`_axis_profiles`), so skipped entries could never have
-        answered the query.
+
+    The dominance probe answers a necessary-condition prefilter for the
+    whole index in one numpy broadcast per direction and runs the exact
+    injective matching only on the survivors.  The prefilter is
+    provably necessary for a match (see :func:`_axis_profiles`), so a
+    skipped entry could never have answered the query: the probe finds
+    the same entry an entry-by-entry scan would.
     """
 
     #: Per-direction cap on the dominance index; oldest entries are
@@ -440,12 +425,9 @@ class Floorplanner:
         max_candidates: int | None = 400,
         cache: bool = True,
         dominance: bool = True,
-        probe: str = "vector",
     ) -> None:
         if engine not in ("backtrack", "milp", "both"):
             raise ValueError(f"unknown engine {engine!r}")
-        if probe not in PROBE_BACKENDS:
-            raise ValueError(f"probe must be one of {PROBE_BACKENDS}")
         self.device = device
         self.engine = engine
         self.node_limit = node_limit
@@ -453,12 +435,9 @@ class Floorplanner:
         self.max_candidates = max_candidates
         self._cache: dict | None = {} if cache else None
         self.dominance = dominance and cache
-        self.probe = probe
         self._dom_feasible: list[_DominanceEntry] = []
         self._dom_infeasible: list[_DominanceEntry] = []
-        # Packed mirrors of the two stores (one shared axis registry) —
-        # kept in sync regardless of the probe backend so the knob can
-        # be flipped at any time.
+        # Packed mirrors of the two stores (one shared axis registry).
         self._axis_pos: dict[str, int] = {}
         self._pack_feasible = _PackedDominance(self._axis_pos)
         self._pack_infeasible = _PackedDominance(self._axis_pos)
@@ -521,13 +500,7 @@ class Floorplanner:
         order.
         """
         queries = [_normalize(rs) for rs in region_sets]
-        use_vector = (
-            self.dominance
-            and self.probe == "vector"
-            and _np is not None
-            and len(queries) > 1
-        )
-        if not use_vector:
+        if not self.dominance or len(queries) < 2:
             return [self.check(rs) for rs in region_sets]
 
         snap_f = list(self._dom_feasible)
@@ -668,9 +641,8 @@ class Floorplanner:
         n: int,
         views: dict,
     ) -> FloorplanResult | None:
-        """Exact feasible-superset test of one entry (shared by both
-        probe backends — the vector path only changes which entries are
-        offered, never how one is judged)."""
+        """Exact feasible-superset test of one entry (the prefilter only
+        changes which entries are offered, never how one is judged)."""
         if n > len(entry.demands):
             return None
         view = self._query_view(demands, entry.axes, views)
@@ -730,37 +702,13 @@ class Floorplanner:
     def _dominance_probe(
         self, ids: list[str], demands: list[ResourceVector]
     ) -> FloorplanResult | None:
-        if self.probe == "vector" and _np is not None:
-            return self._dominance_probe_vector(ids, demands)
-        return self._dominance_probe_scalar(ids, demands)
-
-    def _dominance_probe_scalar(
-        self, ids: list[str], demands: list[ResourceVector]
-    ) -> FloorplanResult | None:
-        n = len(demands)
-        views: dict = {}
-        # Feasible superset: every query demand fits a distinct cached one.
-        for entry in reversed(self._dom_feasible):
-            hit = self._probe_feasible_entry(entry, ids, demands, n, views)
-            if hit is not None:
-                return hit
-        # Infeasible subset: every cached demand fits a distinct query one.
-        for entry in reversed(self._dom_infeasible):
-            hit = self._probe_infeasible_entry(entry, demands, n, views)
-            if hit is not None:
-                return hit
-        return None
-
-    def _dominance_probe_vector(
-        self, ids: list[str], demands: list[ResourceVector]
-    ) -> FloorplanResult | None:
         """Prefilter both stores in bulk, exact-match the survivors.
 
         The packed prefilter is a *necessary* condition for either
         dominance direction, so every entry it prunes would have failed
-        the exact test too — the first surviving hit (scanned
-        newest-first, feasible store before infeasible, exactly like the
-        scalar loop) is therefore the same entry the scalar probe finds.
+        the exact test too — the first surviving hit, scanned
+        newest-first with the feasible store before the infeasible one,
+        is the entry a full entry-by-entry scan would find.
         """
         n = len(demands)
         q_cums = _axis_profiles(demands)

@@ -14,10 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-try:  # numpy speeds enumeration/pruning; the scalar sweeps work without
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is part of the toolchain
-    _np = None
+import numpy as _np
 
 from ..model import ResourceVector
 from .device import FabricDevice
@@ -138,49 +135,17 @@ def _prune_contained_vector(candidates: list[Placement]) -> list[Placement]:
     return [p for p, d in zip(candidates, drop.tolist()) if not d]
 
 
-def _minimal_windows_scalar(
-    device: FabricDevice, needed: dict[str, int], height: int
-) -> list[tuple[int, int]]:
-    """Minimal-width windows ``(left, width)`` for one height — the
-    reference sliding-window sweep."""
-    have: dict[str, int] = {r: 0 for r in needed}
-
-    def satisfied() -> bool:
-        return all(have[r] >= needed[r] for r in needed)
-
-    width = device.width
-    windows: list[tuple[int, int]] = []
-    left = device.reserved_columns
-    right = device.reserved_columns
-    while left < width:
-        while right < width and not satisfied():
-            spec = device.specs[device.columns[right]]
-            if spec.kind in have:
-                have[spec.kind] += spec.resources * height
-            right += 1
-        if not satisfied():
-            break  # no window starting at `left` (or beyond) works
-        windows.append((left, right - left))
-        # Slide: drop the leftmost column.
-        spec = device.specs[device.columns[left]]
-        if spec.kind in have:
-            have[spec.kind] -= spec.resources * height
-        left += 1
-    return windows
-
-
 def _minimal_windows_vector(
     device: FabricDevice, needed: dict[str, int], height: int
 ) -> list[tuple[int, int]]:
-    """Vectorized :func:`_minimal_windows_scalar`.
+    """Minimal-width windows ``(left, width)`` for one height.
 
     The window ``[left, right)`` satisfies kind ``r`` iff the per-kind
     column prefix sum grows by ``ceil(needed_r / height)`` cells across
     it, so the minimal right edge per kind is one ``searchsorted`` over
     all lefts at once, and the overall minimal right is their maximum.
     Minimal right edges are non-decreasing in ``left`` (prefix sums are
-    monotone), which reproduces the scalar sweep's early ``break``: the
-    first unsatisfiable left ends the enumeration.
+    monotone), so the first unsatisfiable left ends the enumeration.
     """
     geometry = device.packed_geometry()
     width = device.width
@@ -230,14 +195,11 @@ def candidate_placements(
     needed = {r: demand[r] for r in demand}
     if not needed:
         raise ValueError("placement demand must be non-empty")
-    windows = (
-        _minimal_windows_vector if _np is not None else _minimal_windows_scalar
-    )
     candidates: list[Placement] = []
     for height in range(1, device.rows + 1):
         # Minimal window per anchor column: per-column supply scales
         # linearly with height, so each height is an independent sweep.
-        for left, w in windows(device, needed, height):
+        for left, w in _minimal_windows_vector(device, needed, height):
             for row in range(0, device.rows - height + 1):
                 candidates.append(
                     Placement(col=left, row=row, width=w, height=height)
@@ -246,7 +208,7 @@ def candidate_placements(
     candidates.sort(
         key=lambda p: (p.width * p.height, p.width, p.col, p.row)
     )
-    if _np is not None and len(candidates) >= 24:
+    if len(candidates) >= 24:
         candidates = _prune_contained_vector(candidates)
     else:
         candidates = _prune_contained(candidates)

@@ -14,13 +14,16 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 # Loaded on first use only: scipy by the MILP floorplan engine, networkx
 # by nothing in src/, asyncio and the service by `repro serve`, the
-# experiment runner by `repro experiments`.
+# experiment runner by `repro experiments`, numpy and the floorplanner
+# by the commands that place regions (`schedule`, `floorplan`, ...).
 DEFERRED = (
     "scipy",
     "networkx",
     "asyncio",
     "repro.analysis.runner",
     "repro.engine.service",
+    "numpy",
+    "repro.floorplan",
 )
 
 # ``repro.__all__`` as it was when every name was imported eagerly.
@@ -51,6 +54,26 @@ def test_cli_import_defers_heavy_modules():
         "import json, sys; import repro.cli; print(json.dumps(sorted(sys.modules)))"
     )
     assert [name for name in DEFERRED if name in loaded] == []
+
+
+def test_validate_loads_neither_numpy_nor_the_floorplanner(tmp_path):
+    from repro.benchgen import paper_instance
+    from repro.core import do_schedule
+
+    instance = paper_instance(20, seed=3)
+    app, sched = tmp_path / "app.json", tmp_path / "sched.json"
+    instance.to_json(str(app))
+    sched.write_text(json.dumps(do_schedule(instance).to_dict()))
+    result = _python(
+        "import contextlib, io, json, sys\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    rc = main(['validate', {str(app)!r}, {str(sched)!r}])\n"
+        "print(json.dumps({'rc': rc, 'out': out.getvalue(),\n"
+        "                  'loaded': sorted(sys.modules)}))"
+    )
+    assert result["rc"] == 0 and result["out"].startswith("OK:"), result["out"]
+    assert [m for m in ("numpy", "repro.floorplan") if m in result["loaded"]] == []
 
 
 def test_public_surface_survives_lazy_imports():

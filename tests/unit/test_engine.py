@@ -92,6 +92,13 @@ class TestRegistry:
             ("is-5", {"jobs": 2}),
             ("exhaustive", {"engine": "copy"}),
             ("exhaustive", {"jobs": 2}),
+            # The removed CPM timing switches.
+            ("pa", {"timing": "scalar"}),
+            ("pa", {"incremental_timing": False}),
+            ("pa", {"verify_incremental_timing": True}),
+            ("pa-r", {"iterations": 1, "timing": "scalar"}),
+            ("pa-r", {"iterations": 1, "incremental_timing": False}),
+            ("pa-r", {"iterations": 1, "verify_incremental_timing": True}),
         ]:
             with pytest.raises(EngineError, match="unknown option"):
                 get_backend(algorithm).run(

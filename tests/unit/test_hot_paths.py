@@ -1,5 +1,8 @@
 """Unit tests for the hot paths: packed dominance probe, batched
-floorplan queries, IS-k preview ranking, and the lean device pickle."""
+floorplan queries, IS-k preview ranking, and the lean device pickle.
+
+The probe and batch tests run the production planner against the
+entry-by-entry reference scan in ``tests/floorplan_reference.py``."""
 
 import json
 import pickle
@@ -16,6 +19,7 @@ from repro.floorplan.floorplanner import Floorplanner
 from repro.floorplan.placements import candidate_placements
 from repro.model import ResourceVector
 
+from ..floorplan_reference import ScanFloorplanner
 from ..isk_reference import CopyISKScheduler
 
 
@@ -66,8 +70,8 @@ def _result_sig(result):
 class TestProbeBackends:
     def test_vector_probe_matches_scalar(self):
         """Same query stream, same verdicts and placements, per query."""
-        vec = Floorplanner(zynq_7z020(), probe="vector")
-        sca = Floorplanner(zynq_7z020(), probe="scalar")
+        vec = Floorplanner(zynq_7z020())
+        sca = ScanFloorplanner(zynq_7z020())
         for query in _query_stream(seed=11, n=120):
             rv = vec.check(list(query))
             rs = sca.check(list(query))
@@ -81,7 +85,7 @@ class TestProbeBackends:
         assert len(vec._dom_infeasible) == len(sca._dom_infeasible)
 
     def test_prefilter_actually_prunes(self):
-        planner = Floorplanner(zynq_7z020(), probe="vector")
+        planner = Floorplanner(zynq_7z020())
         for query in _query_stream(seed=23, n=80):
             planner.check(list(query))
         assert planner.stats["prefilter_candidates"] > 0
@@ -90,8 +94,8 @@ class TestProbeBackends:
     def test_pack_survives_eviction(self, monkeypatch):
         """FIFO eviction keeps the packed mirror aligned with the store."""
         monkeypatch.setattr(Floorplanner, "DOMINANCE_LIMIT", 8)
-        vec = Floorplanner(zynq_7z020(), probe="vector")
-        sca = Floorplanner(zynq_7z020(), probe="scalar")
+        vec = Floorplanner(zynq_7z020())
+        sca = ScanFloorplanner(zynq_7z020())
         for query in _query_stream(seed=37, n=100):
             assert _result_sig(vec.check(list(query))) == (
                 _result_sig(sca.check(list(query)))
@@ -104,8 +108,8 @@ class TestProbeBackends:
 
 class TestCheckBatch:
     def test_batch_matches_sequential(self):
-        batch = Floorplanner(zynq_7z020(), probe="vector")
-        seq = Floorplanner(zynq_7z020(), probe="vector")
+        batch = Floorplanner(zynq_7z020())
+        seq = ScanFloorplanner(zynq_7z020())
         queries = _query_stream(seed=51, n=60)
         # Pre-warm both identically so the batch hits a non-empty index.
         for query in queries[:20]:
@@ -124,14 +128,14 @@ class TestCheckBatch:
     def test_batch_intra_batch_duplicates(self):
         """A query repeated inside one batch hits the cache entry the
         earlier copy inserted."""
-        planner = Floorplanner(zynq_7z020(), probe="vector")
+        planner = Floorplanner(zynq_7z020())
         q = _random_demands(random.Random(3))
         results = planner.check_batch([list(q), list(q), list(q)])
         assert len({_result_sig(r) for r in results}) == 1
         assert planner.stats["cache_hits"] == 2
 
     def test_batch_single_and_empty(self):
-        planner = Floorplanner(zynq_7z020(), probe="vector")
+        planner = Floorplanner(zynq_7z020())
         assert planner.check_batch([]) == []
         q = _random_demands(random.Random(5))
         (result,) = planner.check_batch([list(q)])

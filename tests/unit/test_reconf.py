@@ -156,3 +156,28 @@ class TestControllerContention:
         assert ends[0] == pytest.approx(70.0)
         # Second: reconf [60,110) -> end 120.
         assert ends[1] == pytest.approx(120.0)
+
+
+class TestIncrementalStarts:
+    """The phase reads starts from the incremental view only; every
+    snapshot it takes must equal one full CPM pass on the same graph."""
+
+    @pytest.mark.parametrize("tasks", [30, 60, 100])
+    def test_every_snapshot_matches_the_full_pass(self, monkeypatch, tasks):
+        from repro.benchgen import paper_instance
+        from repro.core import do_schedule
+        from repro.core.timing import IncrementalStarts
+
+        snapshot = IncrementalStarts.snapshot
+        checked = []
+
+        def checked_snapshot(self):
+            starts = snapshot(self)
+            full = self._graph.earliest_starts(self.exe, self.lower_bounds)
+            assert starts == full  # exact: the view's invariant
+            checked.append(len(starts))
+            return starts
+
+        monkeypatch.setattr(IncrementalStarts, "snapshot", checked_snapshot)
+        do_schedule(paper_instance(tasks, seed=7), PAOptions())
+        assert checked and max(checked) > tasks  # reconfiguration nodes seen

@@ -309,6 +309,45 @@ class TestBadRequests:
             assert "bytes" in body["error"]
             assert client.healthy()
 
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"".join(
+                b"X-H%d: v\r\n" % i
+                for i in range(service_mod.MAX_HEADER_COUNT + 1)
+            )
+            + b"\r\n",
+        ],
+        ids=["request-line", "header-line", "header-count"],
+    )
+    def test_oversized_head_is_431(self, request_bytes):
+        with ServiceThread(_config()) as handle:
+            client = ServiceClient(handle.url)
+            client.wait_ready()
+            status, body = self._raw_exchange(handle.url, request_bytes)
+            assert status.startswith(b"HTTP/1.1 431 "), status
+            assert body["error"]
+            assert client.healthy()
+
+    def test_header_count_at_the_cap_is_served(self):
+        with ServiceThread(_config()) as handle:
+            client = ServiceClient(handle.url)
+            client.wait_ready()
+            status, body = self._raw_exchange(
+                handle.url,
+                b"GET /healthz HTTP/1.1\r\n"
+                + b"".join(
+                    b"X-H%d: v\r\n" % i
+                    for i in range(service_mod.MAX_HEADER_COUNT)
+                )
+                + b"\r\n",
+            )
+            assert status.startswith(b"HTTP/1.1 200 "), status
+            assert body == {"ok": True}
+
     def test_unknown_route_is_404(self):
         with ServiceThread(_config()) as handle:
             client = ServiceClient(handle.url)
